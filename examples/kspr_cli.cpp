@@ -307,8 +307,8 @@ int main(int argc, char** argv) {
        !load_path.empty() || !save_path.empty())) {
     std::fprintf(stderr,
                  "--shards combines with --updates/--subscribe only (the "
-                 "router schedules its own per-shard engines; snapshots use "
-                 "per-shard files)\n");
+                 "shards run on the transport's own threads and have no "
+                 "batch engine; snapshots use per-shard files)\n");
     return 1;
   }
   if (transport != "local" && transport != "socket") {

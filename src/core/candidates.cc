@@ -42,6 +42,12 @@ void FilterFocalCovered(std::vector<Candidate>* candidates,
       candidates->end());
 }
 
+bool FocalCoversAll(const Vec& focal, const std::vector<Vec>& changed) {
+  return std::all_of(changed.begin(), changed.end(), [&focal](const Vec& r) {
+    return WeaklyDominates(focal, r);
+  });
+}
+
 void SortCandidates(std::vector<Candidate>* candidates) {
   std::sort(candidates->begin(), candidates->end(),
             [](const Candidate& a, const Candidate& b) {

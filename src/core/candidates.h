@@ -33,10 +33,17 @@
 //      (in sorted order), STR-bulk-load an R-tree over it and run the
 //      requested algorithm with the focal as a hypothetical record.
 //
-// Step 3 is also what makes the router's update-time retention test
-// sound: a subscriber or cached result is provably untouched by a batch
-// iff its focal weakly dominates every record that entered or left a
-// shard skyband (see shard/shard_router.h).
+// Step 3 is also what makes the update-time retention test sound, and
+// FocalCoversAll below is its one implementation. A cached result or a
+// subscriber is untouched by a batch when its focal weakly dominates every
+// changed record: PrepareQuery skips ties and dominated records alike, so
+// a from-scratch run never reads them. The engine applies it to the
+// records entering or leaving the live set, the router to the records
+// entering or leaving a shard k-skyband (see shard/shard_router.h).
+// Exception: LP-CTA and OLP-CTA read covered records through R-tree
+// bounds, so their partition and stats still depend on them. The engine
+// therefore never retains their entries; the router needs no exception
+// because its candidate set has the covered records filtered out.
 
 #ifndef KSPR_CORE_CANDIDATES_H_
 #define KSPR_CORE_CANDIDATES_H_
@@ -76,6 +83,10 @@ void ReduceToGlobalSkyband(std::vector<Candidate>* candidates, int k);
 /// hypothetical record.
 void FilterFocalCovered(std::vector<Candidate>* candidates,
                         const Vec& focal);
+
+/// The update retention test: true when `focal` weakly dominates every
+/// record in `changed`, so none of them can alter the focal's answer.
+bool FocalCoversAll(const Vec& focal, const std::vector<Vec>& changed);
 
 /// Sorts candidates by ascending global id — the canonical arrangement
 /// insertion order (CTA inserts hyperplanes in dataset order, and the

@@ -7,6 +7,7 @@
 #include <utility>
 
 #include "common/timer.h"
+#include "core/candidates.h"
 #include "storage/storage_engine.h"
 
 namespace kspr {
@@ -27,6 +28,11 @@ int PoolWorkers(const EngineOptions& options) {
   return outer > 0 ? outer : 1;
 }
 
+// Update batches with at most this many delta records get the targeted
+// cache sweep; larger batches drop the whole cache, as the sweep cost
+// approaches a rebuild.
+constexpr size_t kTargetedInvalidationMaxDelta = 16;
+
 }  // namespace
 
 QueryEngine::QueryEngine(const Dataset* data, const RTree* index,
@@ -35,8 +41,6 @@ QueryEngine::QueryEngine(const Dataset* data, const RTree* index,
       solver_(data, index),
       cache_(options.cache_capacity),
       update_policy_(options.update_policy),
-      targeted_invalidation_max_delta_(
-          options.targeted_invalidation_max_delta),
       amortized_capacity_(options.amortized_contexts),
       subscriptions_(data, &stats_),
       pool_(PoolWorkers(options)) {
@@ -69,8 +73,11 @@ QueryEngine::QueryEngine(StorageEngine* storage, EngineOptions options)
 void QueryEngine::Canonicalize(QueryRequest* request) const {
   ReaderLock lock(&update_mu_);
   if (request->focal_id != kInvalidRecord) {
-    assert(request->focal_id >= 0 && request->focal_id < data_->size());
-    request->focal = data_->Get(request->focal_id);
+    // An id outside [0, size) names no record; Execute answers it as not
+    // live from the empty focal.
+    if (request->focal_id >= 0 && request->focal_id < data_->size()) {
+      request->focal = data_->Get(request->focal_id);
+    }
   } else {
     assert(request->focal.dim == data_->dim());
   }
@@ -154,9 +161,12 @@ QueryResponse QueryEngine::Execute(const QueryRequest& request, int worker) {
   // caller's own validation) and this point. Its tombstoned values are
   // still addressable, so without this guard the query would compute — and
   // cache under the CURRENT version — an answer for a record that is no
-  // longer in the live set.
+  // longer in the live set. An id that was out of range at Canonicalize
+  // carries no focal value and stays not-live even if an insert has since
+  // reached it.
   if (request.focal_id != kInvalidRecord &&
-      !data_->IsLive(request.focal_id)) {
+      (!data_->IsLive(request.focal_id) ||
+       request.focal.dim != data_->dim())) {
     response.focal_live = false;
     response.result = std::make_shared<KsprResult>();
     response.latency_ms = timer.Millis();
@@ -206,86 +216,87 @@ QueryResponse QueryEngine::Execute(const QueryRequest& request, int worker) {
   return response;
 }
 
-UpdateResult QueryEngine::ApplyUpdates(const UpdateBatch& batch) {
-  UpdateResult out;
-  if (mutable_data_ == nullptr) return out;  // read-only engine
-  out.applied = true;
-
-  // Writer side of the quiesce: waits for all in-flight queries, blocks
-  // new ones until the batch (and the cache sweep) is done.
-  WriterLock lock(&update_mu_);
+AppliedMutations ApplyMutations(const UpdateBatch& batch,
+                                IndexUpdatePolicy policy, Dataset* data,
+                                RTree* index, StorageEngine* storage) {
+  AppliedMutations out;
+  out.result.applied = true;
 
   // A disk-backed tree cannot be mutated page-by-page: pull every node
-  // into memory first (and mark the snapshot stale). The quiesce makes
-  // this the one safe point; no-op after the first batch.
-  if (storage_ != nullptr) storage_->PrepareForUpdates();
+  // into memory first (and mark the snapshot stale). No-op after the
+  // first batch.
+  if (storage != nullptr) storage->PrepareForUpdates();
 
-  Dataset& data = *mutable_data_;
-  RTree& index = *mutable_index_;
-  const bool incremental =
-      update_policy_ == IndexUpdatePolicy::kIncremental;
-
-  // Values of every record entering or leaving the live set — the inputs
-  // of the targeted cache sweep (delete values captured pre-tombstone).
-  std::vector<Vec> delta;
-  delta.reserve(batch.inserts.size() + batch.deletes.size());
-  std::vector<RecordId> deleted_ids;
-
+  const bool incremental = policy == IndexUpdatePolicy::kIncremental;
+  out.delta.reserve(batch.inserts.size() + batch.deletes.size());
   for (RecordId id : batch.deletes) {
-    if (!data.IsLive(id)) continue;  // unknown or already-deleted id: no-op
-    delta.push_back(data.Get(id));
-    if (incremental) index.Delete(data, id);
-    data.Delete(id);
-    deleted_ids.push_back(id);
-    ++out.deletes_applied;
+    if (!data->IsLive(id)) continue;  // unknown or already-deleted id: no-op
+    out.delta.push_back(data->Get(id));
+    if (incremental) index->Delete(*data, id);
+    data->Delete(id);
+    out.deleted_ids.push_back(id);
   }
-  out.inserted_ids.reserve(batch.inserts.size());
+  out.result.deletes_applied = out.deleted_ids.size();
+  out.result.inserted_ids.reserve(batch.inserts.size());
   for (const Vec& v : batch.inserts) {
-    assert(v.dim == data.dim());
-    const RecordId id = data.Insert(v);
-    out.inserted_ids.push_back(id);
-    if (incremental) index.Insert(data, id);
-    delta.push_back(v);
+    assert(v.dim == data->dim());
+    const RecordId id = data->Insert(v);
+    out.result.inserted_ids.push_back(id);
+    if (incremental) index->Insert(*data, id);
+    out.delta.push_back(v);
   }
   if (!incremental) {
-    PageTracker* tracker = index.tracker();
-    index = RTree::BulkLoad(data, index.leaf_capacity(), index.fanout());
+    PageTracker* tracker = index->tracker();
+    *index = RTree::BulkLoad(*data, index->leaf_capacity(), index->fanout());
     if (tracker != nullptr) {
       // Every node page of the discarded tree is gone, and the rebuilt
       // tree recycles the same ids — flush the residency so stale pages
       // cannot serve phantom buffer hits.
       tracker->RetireAll();
-      index.SetTracker(tracker);
+      index->SetTracker(tracker);
     }
-    out.index_rebuilt = true;
+    out.result.index_rebuilt = true;
   }
-  out.version = data.version();
+  out.result.version = data->version();
+  return out;
+}
+
+UpdateResult QueryEngine::ApplyUpdates(const UpdateBatch& batch) {
+  if (mutable_data_ == nullptr) return UpdateResult{};  // read-only engine
+
+  // Writer side of the quiesce: waits for all in-flight queries, blocks
+  // new ones until the batch (and the sweeps) is done.
+  WriterLock lock(&update_mu_);
+  AppliedMutations applied = ApplyMutations(batch, update_policy_,
+                                            mutable_data_, mutable_index_,
+                                            storage_);
+  UpdateResult out = std::move(applied.result);
+  const std::vector<Vec>& delta = applied.delta;
+  const Dataset& data = *mutable_data_;
 
   // A batch with no effective mutation (empty, or deletes of unknown /
   // already-dead ids) leaves the version unchanged; running the sweeps
   // anyway would restamp every cache entry to its own version and count
   // the whole cache as retained again — back-to-back no-op batches would
   // inflate cache_retained without a single record changing.
-  if (delta.empty() && deleted_ids.empty()) {
+  if (delta.empty()) {
     stats_.RecordUpdate(0, 0, 0, 0);
     return out;
   }
 
   // Result-cache sweep. An entry may be RETAINED only when its focal
-  // dominates every delta record: such records never outscore the focal
-  // anywhere in preference space, so the query preprocessing drops them
-  // and the region set is provably unchanged. Everything else (including
-  // entries whose focal record was itself deleted) is dropped.
-  if (delta.size() <= targeted_invalidation_max_delta_) {
+  // covers every delta record (FocalCoversAll, core/candidates.h): the
+  // query preprocessing skips such records, so the answer is provably
+  // unchanged. LP-CTA and OLP-CTA are the exception — their look-ahead
+  // reads covered records through R-tree bounds, so their entries are
+  // always dropped. So are entries whose focal record was itself deleted.
+  if (delta.size() <= kTargetedInvalidationMaxDelta) {
     auto drop = [&](const CacheKey& cached) {
-      if (cached.focal_id != kInvalidRecord &&
-          !data.IsLive(cached.focal_id)) {
-        return true;
-      }
-      for (const Vec& r : delta) {
-        if (!Dataset::Dominates(cached.focal, r)) return true;
-      }
-      return false;
+      return (cached.focal_id != kInvalidRecord &&
+              !data.IsLive(cached.focal_id)) ||
+             cached.algorithm == Algorithm::kLpCta ||
+             cached.algorithm == Algorithm::kOlpCta ||
+             !FocalCoversAll(cached.focal, delta);
     };
     std::tie(out.cache_dropped, out.cache_retained) =
         cache_.OnDatasetUpdate(out.version, drop);
@@ -325,7 +336,7 @@ UpdateResult QueryEngine::ApplyUpdates(const UpdateBatch& batch) {
       // amortized_mu_ -> slot.mu.
       MutexLock slot_lock(&slot.mu);
       if (slot.ctx != nullptr) {
-        for (RecordId id : deleted_ids) {
+        for (RecordId id : applied.deleted_ids) {
           if (slot.ctx->InvalidatedByDelete(id)) {
             slot.ctx.reset();
             break;
@@ -340,7 +351,7 @@ UpdateResult QueryEngine::ApplyUpdates(const UpdateBatch& batch) {
   // and push diffs (engine/subscription.h). Runs under the writer lock so
   // subscribers observe atomic batch transitions.
   const SubscriptionManager::SweepStats sweep =
-      subscriptions_.OnUpdates(delta, deleted_ids, out.version);
+      subscriptions_.OnUpdates(delta, applied.deleted_ids, out.version);
   out.subscribers_examined = sweep.examined;
   out.subscribers_irrelevant = sweep.irrelevant;
   out.subscribers_notified = sweep.events;

@@ -14,18 +14,19 @@
 // queries. Each batch bumps the dataset version, which is folded into
 // every result-cache key, so a result computed against an older live set
 // can never be served for a newer one. Cached entries provably unaffected
-// by the batch (their focal dominates every delta record, so no delta
-// hyperplane intersects a region) are retained and restamped instead of
-// dropped. Optionally the engine keeps amortized CTA contexts per focal:
-// after an insert-only batch a re-submitted focal reuses its cached
-// CellTree skeleton and only inserts the delta hyperplanes — regions and
-// stats stay bitwise-identical to a from-scratch run (core/amortized.h).
+// by the batch (FocalCoversAll in core/candidates.h: their focal weakly
+// dominates every delta record) are retained and restamped instead of
+// dropped; LP-CTA and OLP-CTA entries are always dropped, because their
+// look-ahead reads covered records. Optionally the engine keeps amortized
+// CTA contexts per focal: after an insert-only batch a re-submitted focal
+// reuses its cached CellTree skeleton and only inserts the delta
+// hyperplanes — regions and stats stay bitwise-identical to a
+// from-scratch run (core/amortized.h).
 //
-// Scaling beyond one engine: the sharded tier (shard/shard_router.h)
-// runs one QueryEngine per shard worker — ApplyUpdates below IS the
-// per-shard delta path of ShardRouter::ApplyUpdates, so every quiesce,
-// version-stamp and cache-restamp guarantee documented here carries over
-// to the distributed deployment unchanged.
+// The mutation half of ApplyUpdates is the free function ApplyMutations
+// below. The sharded tier (shard/shard_router.h) calls it from every
+// ShardWorker::ApplyDelta, so a shard mutates its slice exactly as an
+// engine does, without owning an engine.
 //
 // Usage:
 //   kspr::QueryEngine engine(&data, &index, {.workers = 4});
@@ -97,11 +98,6 @@ struct EngineOptions {
   /// R-tree maintenance policy for ApplyUpdates.
   IndexUpdatePolicy update_policy = IndexUpdatePolicy::kIncremental;
 
-  /// Update batches with at most this many delta records get the targeted
-  /// cache sweep (per-entry dominance test against each delta); larger
-  /// batches drop the whole cache, as the sweep cost approaches a rebuild.
-  size_t targeted_invalidation_max_delta = 16;
-
   /// Cached amortized CTA contexts (0 disables the amortized query mode).
   /// Each context pins a CellTree for one (focal, options) pair; see
   /// QueryRequest::amortized.
@@ -128,7 +124,8 @@ struct QueryResponse {
   std::shared_ptr<const KsprResult> result;
   bool cache_hit = false;
   bool amortized = false;   // served via an amortized CTA context
-  /// False when the requested focal record was deleted before the query
+  /// False when the requested focal id names no record (outside
+  /// [0, size) at submission) or the record was deleted before the query
   /// ran: `result` is then a non-null empty placeholder that was neither
   /// computed nor cached. Callers racing ApplyUpdates should check this
   /// instead of treating the empty region set as an answer.
@@ -150,13 +147,34 @@ struct UpdateResult {
   size_t deletes_applied = 0;      // ids that were live and got removed
   size_t cache_dropped = 0;
   size_t cache_retained = 0;
-  bool index_rebuilt = false;      // kRebuild (or empty-tree bootstrap)
+  bool index_rebuilt = false;      // kRebuild: tree bulk-loaded anew
   // Standing-subscription sweep of this batch (engine/subscription.h).
   size_t subscribers_examined = 0;
   size_t subscribers_irrelevant = 0;  // proven untouched, nothing emitted
   size_t subscribers_notified = 0;    // diff events delivered
   size_t subscribers_terminated = 0;  // focal record deleted by this batch
 };
+
+/// What ApplyMutations did to the live set.
+struct AppliedMutations {
+  /// applied, version, inserted_ids, deletes_applied and index_rebuilt.
+  UpdateResult result;
+  /// Values of every record entering or leaving the live set (deletes
+  /// captured before the tombstone) — the input of every retention test.
+  std::vector<Vec> delta;
+  std::vector<RecordId> deleted_ids;  // ids that were live and got removed
+};
+
+/// The mutation half of an update batch, shared by
+/// QueryEngine::ApplyUpdates and ShardWorker::ApplyDelta: materialises a
+/// disk-backed tree (`storage`, may be null), tombstones the live deletes
+/// (unknown or dead ids are no-ops), appends the inserts, maintains
+/// `index` per `policy` and leaves the dataset version bumped once per
+/// effective mutation. The caller must exclude every reader of `data` and
+/// `index` for the duration.
+AppliedMutations ApplyMutations(const UpdateBatch& batch,
+                                IndexUpdatePolicy policy, Dataset* data,
+                                RTree* index, StorageEngine* storage);
 
 class QueryEngine {
  public:
@@ -219,9 +237,10 @@ class QueryEngine {
   /// Applies a mutation batch: quiesces in-flight queries (writer lock),
   /// tombstones deletes + appends inserts, maintains the R-tree per the
   /// configured policy, bumps the dataset version, and sweeps the result
-  /// cache — dropping every entry a delta record could affect and
-  /// restamping the provably untouched rest. Amortized contexts whose
-  /// already-processed prefix is invalidated by a delete are discarded.
+  /// cache — dropping every entry a delta record could affect (and every
+  /// LP-CTA/OLP-CTA entry) and restamping the provably untouched rest.
+  /// Amortized contexts whose already-processed prefix is invalidated by
+  /// a delete are discarded.
   /// Blocks until all running queries finish; must not be called from a
   /// pool worker (deadlock). Thread-safe against Submit/RunAll.
   UpdateResult ApplyUpdates(const UpdateBatch& batch);
@@ -275,7 +294,9 @@ class QueryEngine {
   bool ExecuteAmortized(const QueryRequest& request, QueryResponse* response)
       KSPR_REQUIRES_SHARED(update_mu_);
 
-  /// Fills in `focal` from the dataset when only `focal_id` was given.
+  /// Fills in `focal` from the dataset when only `focal_id` was given and
+  /// names a record; an out-of-range id leaves it empty (Execute answers
+  /// focal_live = false).
   void Canonicalize(QueryRequest* request) const;
 
   /// The quiesce: queries hold shared, ApplyUpdates holds exclusive.
@@ -291,7 +312,6 @@ class QueryEngine {
   ResultCache cache_;
   EngineStats stats_;
   IndexUpdatePolicy update_policy_ = IndexUpdatePolicy::kIncremental;
-  size_t targeted_invalidation_max_delta_ = 16;
   size_t amortized_capacity_ = 0;
 
   Mutex amortized_mu_;

@@ -3,6 +3,8 @@
 #include <cassert>
 #include <utility>
 
+#include "core/candidates.h"
+
 namespace kspr {
 
 const char* ToString(SubscriptionEventKind kind) {
@@ -100,20 +102,14 @@ SubscriptionManager::SweepStats SubscriptionManager::OnUpdates(
       continue;
     }
 
-    // Irrelevant: the focal dominates every record entering or leaving the
-    // live set. Dominated records are dropped by the query preprocessing
+    // Irrelevant: the focal covers every record entering or leaving the
+    // live set (FocalCoversAll, core/candidates.h). Covered records —
+    // dominated ones and ties — are dropped by the query preprocessing
     // (inserts) and were never part of the skeleton or of k_effective
     // (deletes — AmortizedCta::InvalidatedByDelete classifies them kSkip),
     // so a from-scratch run over the mutated dataset is bitwise-identical
     // to the current state. No work, no event.
-    bool irrelevant = true;
-    for (const Vec& r : delta) {
-      if (!Dataset::Dominates(sub.focal, r)) {
-        irrelevant = false;
-        break;
-      }
-    }
-    if (irrelevant) {
+    if (FocalCoversAll(sub.focal, delta)) {
       ++sweep.irrelevant;
       ++it;
       continue;

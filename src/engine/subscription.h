@@ -10,11 +10,12 @@
 //
 // Per batch, every subscriber is classified into exactly one of:
 //
-//  * IRRELEVANT — the focal dominates every delta record (the same
-//    retention test the result-cache sweep uses): dominated records are
-//    dropped by the query preprocessing in a from-scratch run, so the
-//    region set AND stats are provably bitwise-unchanged. Nothing is
-//    computed and nothing is emitted.
+//  * IRRELEVANT — the focal weakly dominates every delta record
+//    (FocalCoversAll in core/candidates.h, the retention test every
+//    update sweep uses): dominated and tied records are dropped by the
+//    query preprocessing in a from-scratch run, so the region set AND
+//    stats are provably bitwise-unchanged. Nothing is computed and
+//    nothing is emitted.
 //  * DELTA-INSERTABLE — the subscriber's AmortizedCta absorbs just the
 //    batch's hyperplanes (AmortizedCta::Advance), then the new harvest is
 //    diffed against the previous one.

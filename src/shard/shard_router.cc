@@ -60,9 +60,6 @@ std::unique_ptr<ShardRouter> ShardRouter::CreateLocal(const Dataset& data,
 std::unique_ptr<ShardRouter> ShardRouter::Create(const Dataset& data,
                                                  RouterOptions options) {
   ShardMap map(options.num_shards);
-  // The transport already runs shards in parallel; per-shard engines
-  // default to a single worker thread unless the caller asked otherwise.
-  if (options.worker.engine.workers <= 0) options.worker.engine.workers = 1;
   if (!options.stats) options.stats = std::make_shared<TransportStats>();
   std::vector<Dataset> slices = PartitionDataset(data, map);
   std::vector<std::unique_ptr<ShardWorker>> workers;
@@ -399,19 +396,18 @@ RouterUpdateResult ShardRouter::ApplyUpdates(const RouterUpdateBatch& batch) {
 
   // Phase 3 — gather. A shard that fails after the transport's full
   // retry budget gets its slice queued for replay; the batch is
-  // all-or-nothing per shard (one engine ApplyUpdates call worker-side).
+  // all-or-nothing per shard (one ApplyMutations call worker-side).
   size_t effective = 0;
-  std::map<int, std::vector<Candidate>> changed;
+  std::map<int, std::vector<Vec>> changed;  // values only, per tracked k
   for (int k : ks) changed[k];  // every tracked k present, even if empty
   for (auto& [s, future] : futures) {
     try {
       ShardUpdateResponse response = AwaitShard(future, s);
       effective += response.inserts_applied + response.deletes_applied;
       out.deletes_applied += response.deletes_applied;
-      for (SkybandChange& change : response.skyband_changes) {
-        std::vector<Candidate>& merged = changed[change.k];
-        merged.insert(merged.end(), change.changed.begin(),
-                      change.changed.end());
+      for (const SkybandChange& change : response.skyband_changes) {
+        std::vector<Vec>& merged = changed[change.k];
+        for (const Candidate& c : change.changed) merged.push_back(c.value);
       }
       SetHealth(s, ShardHealth::kUp);
     } catch (const TransportError& e) {
@@ -435,18 +431,15 @@ RouterUpdateResult ShardRouter::ApplyUpdates(const RouterUpdateBatch& batch) {
   out.version = router_version_;
 
   // Phase 4 — front-end cache sweep. Normally: drop an entry unless its
-  // focal weakly dominates every record that entered or left a k-skyband
-  // (then its candidate set — hence regions AND stats — is provably
-  // unchanged, see core/candidates.h); survivors are restamped to the
-  // new version. Degraded: the failed shards' skyband diffs never
+  // focal covers every record that entered or left a k-skyband
+  // (FocalCoversAll: then its candidate set — hence regions AND stats — is
+  // provably unchanged, see core/candidates.h); survivors are restamped
+  // to the new version. Degraded: the failed shards' skyband diffs never
   // arrived, so no entry can be proven untouched — drop everything.
   const auto untouched = [&changed](const Vec& focal, int k) {
     auto it = changed.find(k);
-    if (it == changed.end()) return false;  // k never tracked: no proof
-    for (const Candidate& c : it->second) {
-      if (!WeaklyDominates(focal, c.value)) return false;
-    }
-    return true;
+    // A k never tracked has no diff, hence no proof.
+    return it != changed.end() && FocalCoversAll(focal, it->second);
   };
   const auto [dropped, retained] = cache_.OnDatasetUpdate(
       router_version_, [&](const CacheKey& key) {

@@ -17,14 +17,15 @@
 //    of the shard count: results are bitwise-identical across N = 1, 2,
 //    4, 8, ... (gated by tests/test_sharding.cc and bench_sharding).
 //  * ApplyUpdates: the batch is split into per-shard versioned deltas;
-//    each shard applies its slice through its embedded QueryEngine (the
-//    PR 5 writer-lock quiesce + restamp path) and reports, for every k
-//    the router is serving, the records that entered or left its local
-//    k-skyband. The merged symmetric difference drives the router-level
-//    classification: a cached result or subscriber is provably untouched
-//    iff its focal weakly dominates every changed record at its k —
-//    untouched cache entries are restamped to the new router version
-//    (engine/result_cache.h), untouched subscribers get no event.
+//    each shard applies its slice through ApplyMutations (the mutation
+//    code QueryEngine::ApplyUpdates runs, engine/query_engine.h) and
+//    reports, for every k the router is serving, the records that entered
+//    or left its local k-skyband. The merged symmetric difference drives
+//    the router-level classification: a cached result or subscriber is
+//    provably untouched iff its focal covers every changed record at its
+//    k (FocalCoversAll, core/candidates.h) — untouched cache entries are
+//    restamped to the new router version (engine/result_cache.h),
+//    untouched subscribers get no event.
 //  * Subscribe: standing queries in the engine/subscription.h event
 //    vocabulary (kInitial/kRebuild/kFocalGone); touched subscribers are
 //    recomputed through the same scatter-gather pipeline and receive a
@@ -34,9 +35,9 @@
 //    recomputes from scratch and supports every algorithm.
 //
 // Shards are reached exclusively through the narrow ShardTransport
-// interface; the in-process LocalShardTransport (per-shard thread + FIFO
-// queue) is the only implementation today and a socket transport is a
-// drop-in.
+// interface: the in-process LocalShardTransport (per-shard thread + FIFO
+// queue) or the loopback SocketShardTransport in front of one ShardServer
+// per worker (Create with TransportKind::kSocket).
 //
 // Thread-safety: Query may be called concurrently from any thread.
 // ApplyUpdates/Subscribe/Unsubscribe take the router's writer lock (the
@@ -89,9 +90,7 @@ const char* ToString(RouterStatus status);
 struct RouterOptions {
   size_t num_shards = 1;
 
-  /// Per-shard worker configuration (shard R-tree geometry + embedded
-  /// engine). CreateLocal defaults the engine to one worker thread per
-  /// shard — the transport already runs shards in parallel.
+  /// Per-shard worker configuration (shard R-tree geometry).
   ShardWorkerOptions worker;
 
   /// Front-end result cache entries (0 disables).

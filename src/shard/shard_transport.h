@@ -4,11 +4,11 @@
 // ShardTransport is deliberately NARROW and message-shaped: every method
 // takes a plain-data request, returns a std::future of a plain-data
 // response, and carries no pointers into router or worker state — the
-// requests and responses below are exactly what a socket transport would
-// serialise. The only implementation today is LocalShardTransport
-// (local_transport.h), which runs each shard as an in-process thread
-// group behind a local queue; a remote transport is a drop-in for this
-// interface.
+// requests and responses below are exactly what SocketShardTransport
+// serialises. LocalShardTransport (local_transport.h) runs each shard on
+// an in-process queue thread; SocketShardTransport (socket_transport.h)
+// sends the same messages as frames to a ShardServer per shard;
+// FaultInjectingTransport (fault_transport.h) decorates either.
 //
 // Thread-safety contract: every method may be called concurrently from
 // any number of router threads for any mix of shards. Implementations
@@ -113,9 +113,8 @@ class ShardTransport {
   virtual std::future<CandidateResponse> Candidates(
       size_t shard, CandidateRequest request) = 0;
 
-  /// Applies one shard-slice of an update batch through the shard's
-  /// engine (PR 5 quiesce/restamp path) and reports per-k skyband
-  /// changes.
+  /// Applies one shard-slice of an update batch (ApplyMutations,
+  /// engine/query_engine.h) and reports per-k skyband changes.
   virtual std::future<ShardUpdateResponse> ApplyDelta(
       size_t shard, ShardUpdateRequest request) = 0;
 

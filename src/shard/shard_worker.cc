@@ -18,16 +18,13 @@ ShardWorker::ShardWorker(size_t shard_index, const ShardMap& map,
           *owned_data_, options.leaf_capacity, options.fanout))) {
   data_ = owned_data_.get();
   tree_ = owned_tree_.get();
-  engine_ = std::make_unique<QueryEngine>(data_, tree_, options.engine);
 }
 
 ShardWorker::ShardWorker(size_t shard_index, const ShardMap& map,
-                         std::unique_ptr<StorageEngine> storage,
-                         ShardWorkerOptions options)
+                         std::unique_ptr<StorageEngine> storage)
     : shard_index_(shard_index), map_(map), storage_(std::move(storage)) {
   data_ = storage_->dataset();
   tree_ = storage_->tree();
-  engine_ = std::make_unique<QueryEngine>(storage_.get(), options.engine);
 }
 
 ShardWorker::~ShardWorker() = default;
@@ -87,7 +84,7 @@ ShardUpdateResponse ShardWorker::ApplyDelta(
   batch.inserts.reserve(request.inserts.size());
   for (const ShardInsert& ins : request.inserts) {
     assert(map_.ShardOf(ins.global_id) == shard_index_);
-    // The router assigns global ids monotonically, so the engine's append
+    // The router assigns global ids monotonically, so the dataset's append
     // order reproduces ShardMap's local ids exactly.
     assert(map_.LocalOf(ins.global_id) ==
            data().size() + static_cast<RecordId>(batch.inserts.size()));
@@ -99,11 +96,12 @@ ShardUpdateResponse ShardWorker::ApplyDelta(
     batch.deletes.push_back(map_.LocalOf(global));
   }
 
-  // The PR 5 path end to end: writer-lock quiesce, tombstone + append,
-  // R-tree maintenance per policy, version bump, targeted result-cache
-  // sweep with restamp of provably-untouched entries.
-  const UpdateResult applied = engine_->ApplyUpdates(batch);
-  assert(applied.applied);
+  // The shard's output is a set the router sorts by global id, so the tree
+  // shape is invisible and incremental maintenance is always enough.
+  const UpdateResult applied =
+      ApplyMutations(batch, IndexUpdatePolicy::kIncremental, data_, tree_,
+                     storage_.get())
+          .result;
   response.shard_version = applied.version;
   response.inserts_applied = applied.inserted_ids.size();
   response.deletes_applied = applied.deletes_applied;

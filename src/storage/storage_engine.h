@@ -18,8 +18,8 @@
 // simulator default.
 //
 // Updates: the engine cannot mutate a hollow tree page-by-page.
-// PrepareForUpdates (called by QueryEngine::ApplyUpdates under its writer
-// lock) materialises every node into memory, detaches the pool's I/O and
+// PrepareForUpdates (called by ApplyMutations, engine/query_engine.h,
+// while its caller excludes readers) materialises every node into memory, detaches the pool's I/O and
 // marks the engine stale — the file no longer reflects the in-memory
 // state until Resave. The pool's TRACKER stays attached to the tree, so
 // post-materialise serving keeps simulated-accounting continuity and
@@ -96,9 +96,9 @@ class StorageEngine {
 
   /// Materialises the tree, detaches pool I/O and marks the snapshot
   /// stale (in-memory state will diverge from the file). Idempotent.
-  /// Callers must hold whatever lock quiesces readers —
-  /// QueryEngine::ApplyUpdates calls this under its writer lock before
-  /// mutating anything.
+  /// Callers must exclude readers — ApplyMutations calls this before
+  /// mutating anything, under the QueryEngine writer lock or the shard
+  /// transport's per-shard serialisation.
   void PrepareForUpdates();
 
   /// True once PrepareForUpdates ran: the file no longer (necessarily)

@@ -183,6 +183,37 @@ TEST(QueryEngine, HypotheticalFocalMatchesSolverQuery) {
   EXPECT_TRUE(SameResult(*response.result, serial));
 }
 
+TEST(QueryEngine, OutOfRangeFocalIdIsNotLive) {
+  // Ids outside [0, size) name no record: the engine must not read a row
+  // for them, and answers focal_live = false without computing or caching.
+  SyntheticInstance inst(Distribution::kIndependent, 120, 3, 17);
+  QueryEngine engine(&inst.data(), &inst.tree(), {.workers = 2});
+  KsprOptions options;
+  options.k = 4;
+  const RecordId n = inst.data().size();
+  std::vector<QueryRequest> requests;
+  for (RecordId id : {n, n + 100, RecordId{-7}}) {
+    SCOPED_TRACE(id);
+    const QueryResponse response = engine.SubmitRecord(id, options).get();
+    EXPECT_FALSE(response.focal_live);
+    EXPECT_FALSE(response.cache_hit);
+    ASSERT_NE(response.result, nullptr);
+    EXPECT_TRUE(response.result->regions.empty());
+    QueryRequest request;
+    request.focal_id = id;
+    request.options = options;
+    requests.push_back(request);
+  }
+  for (const QueryResponse& response : engine.RunAll(requests)) {
+    EXPECT_FALSE(response.focal_live);
+    EXPECT_FALSE(response.cache_hit);
+    ASSERT_NE(response.result, nullptr);
+    EXPECT_TRUE(response.result->regions.empty());
+  }
+  EXPECT_EQ(engine.cache_size(), 0u);
+  EXPECT_EQ(engine.stats().lp_calls, 0);
+}
+
 TEST(QueryEngine, CacheHitsReturnIdenticalResultsAndAreCounted) {
   SyntheticInstance inst(Distribution::kIndependent, 250, 3, 11);
   KsprOptions options;

@@ -582,8 +582,8 @@ TEST(ShardingStorageTest, SnapshotRoundTripServesIdentically) {
   for (size_t s = 0; s < n; ++s) {
     auto storage = StorageEngine::Open(paths[s]);
     ASSERT_NE(storage, nullptr);
-    workers.push_back(std::make_unique<ShardWorker>(
-        s, map, std::move(storage), router_options.worker));
+    workers.push_back(
+        std::make_unique<ShardWorker>(s, map, std::move(storage)));
   }
   ShardRouter reopened(
       std::make_unique<LocalShardTransport>(std::move(workers)),
@@ -622,7 +622,6 @@ std::unique_ptr<ShardRouter> FaultyLocalRouter(const Dataset& data,
                                                const std::string& spec,
                                                RouterOptions options) {
   const ShardMap map(options.num_shards);
-  if (options.worker.engine.workers <= 0) options.worker.engine.workers = 1;
   if (!options.stats) options.stats = std::make_shared<TransportStats>();
   std::vector<Dataset> slices = ShardRouter::PartitionDataset(data, map);
   std::vector<std::unique_ptr<ShardWorker>> workers;

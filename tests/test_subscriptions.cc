@@ -229,6 +229,34 @@ TEST(Subscriptions, IrrelevantBatchEmitsNothing) {
   EXPECT_EQ(engine.stats().sub_irrelevant, 1);
 }
 
+TEST(Subscriptions, TiedDeltaIsIrrelevant) {
+  // A record tying the focal on every attribute is skipped by the query
+  // preprocessing, so inserting it and deleting it again are both
+  // irrelevant batches: no event, and the replayed state still equals a
+  // from-scratch run.
+  SyntheticInstance inst(Distribution::kIndependent, 250, 3, 337);
+  QueryEngine engine(&inst.mutable_data(), &inst.mutable_tree(), SubEngine());
+  const RecordId focal = test::MaxSumRecord(inst.data());
+  const KsprOptions options = OracleOptions(Algorithm::kCta, 5);
+
+  Replayer replayer;
+  ASSERT_NE(engine.Subscribe(focal, options, replayer.Callback()),
+            kInvalidSubscription);
+
+  UpdateBatch insert;
+  insert.inserts.push_back(inst.data().Get(focal));
+  const UpdateResult inserted = engine.ApplyUpdates(insert);
+  UpdateBatch remove;
+  remove.deletes.push_back(inserted.inserted_ids[0]);
+  for (const UpdateResult& ur : {inserted, engine.ApplyUpdates(remove)}) {
+    EXPECT_EQ(ur.subscribers_irrelevant, 1u);
+    EXPECT_EQ(ur.subscribers_notified, 0u);
+  }
+  EXPECT_EQ(replayer.events.size(), 1u) << "tied delta emitted a diff";
+  ExpectBitwiseEqual(replayer.state, FromScratch(inst.data(), focal, options),
+                     "tied delta replay vs from-scratch");
+}
+
 TEST(Subscriptions, DeltaInsertableBatchPushesSpliceDiff) {
   SyntheticInstance inst(Distribution::kIndependent, 250, 3, 307);
   QueryEngine engine(&inst.mutable_data(), &inst.mutable_tree(), SubEngine());

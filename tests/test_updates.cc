@@ -408,6 +408,74 @@ TEST(EngineUpdates, TargetedInvalidationRetainsUnaffectedFocals) {
   EXPECT_FALSE(engine.SubmitRecord(b, options).get().cache_hit);
 }
 
+TEST(EngineUpdates, LookAheadEntryDroppedOnDominatedInsert) {
+  // Regression: LP-CTA and OLP-CTA read focal-covered records through
+  // R-tree bounds, so a record the focal dominates still changes their
+  // partition and stats. Their entries must not survive such a batch — a
+  // retained hit would differ from a from-scratch run.
+  for (Algorithm algo : {Algorithm::kLpCta, Algorithm::kOlpCta}) {
+    SCOPED_TRACE(static_cast<int>(algo));
+    SyntheticInstance inst(Distribution::kIndependent, 300, 3, 127);
+    QueryEngine engine(&inst.mutable_data(), &inst.mutable_tree(),
+                       SerialEngine(IndexUpdatePolicy::kRebuild));
+    const RecordId focal = test::MaxSumRecord(inst.data());
+    const KsprOptions options = OracleOptions(algo, 4);
+    engine.SubmitRecord(focal, options).get();
+
+    Vec below = inst.data().Get(focal);
+    for (int j = 0; j < below.dim; ++j) below.v[j] *= 0.999;
+    UpdateBatch batch;
+    batch.inserts.push_back(below);
+    const UpdateResult ur = engine.ApplyUpdates(batch);
+    EXPECT_EQ(ur.cache_retained, 0u);
+
+    const QueryResponse after = engine.SubmitRecord(focal, options).get();
+    EXPECT_FALSE(after.cache_hit);
+    ExpectBitwiseEqual(*after.result,
+                       FromScratch(inst.data(), focal, options),
+                       "look-ahead re-query after dominated insert");
+  }
+}
+
+TEST(EngineUpdates, TiedDeltaRetainsCtaAndPctaEntries) {
+  // A record tying the focal on every attribute is skipped by the query
+  // preprocessing exactly like a dominated one, so inserting and then
+  // deleting it leaves CTA and P-CTA answers unchanged: both entries are
+  // retained and every hit equals a from-scratch run (P-CTA bitwise
+  // because kRebuild reproduces the from-scratch tree).
+  SyntheticInstance inst(Distribution::kIndependent, 300, 3, 131);
+  QueryEngine engine(&inst.mutable_data(), &inst.mutable_tree(),
+                     SerialEngine(IndexUpdatePolicy::kRebuild));
+  const RecordId focal = test::MaxSumRecord(inst.data());
+  const std::vector<KsprOptions> queries = {
+      OracleOptions(Algorithm::kCta, 4), OracleOptions(Algorithm::kPcta, 4)};
+  for (const KsprOptions& options : queries) {
+    engine.SubmitRecord(focal, options).get();
+  }
+
+  const auto expect_retained_hits = [&](const UpdateResult& ur,
+                                        const char* what) {
+    EXPECT_EQ(ur.cache_retained, queries.size()) << what;
+    EXPECT_EQ(ur.cache_dropped, 0u) << what;
+    for (const KsprOptions& options : queries) {
+      const QueryResponse hit = engine.SubmitRecord(focal, options).get();
+      SCOPED_TRACE(static_cast<int>(options.algorithm));
+      EXPECT_TRUE(hit.cache_hit) << what;
+      ExpectBitwiseEqual(*hit.result, FromScratch(inst.data(), focal, options),
+                         what);
+    }
+  };
+
+  UpdateBatch insert;
+  insert.inserts.push_back(inst.data().Get(focal));
+  const UpdateResult inserted = engine.ApplyUpdates(insert);
+  expect_retained_hits(inserted, "tie inserted");
+
+  UpdateBatch remove;
+  remove.deletes.push_back(inserted.inserted_ids[0]);
+  expect_retained_hits(engine.ApplyUpdates(remove), "tie deleted");
+}
+
 TEST(EngineUpdates, RebuildPolicyFlushesTrackerResidency) {
   // Regression: the rebuilt tree recycles node ids, so the reattached
   // tracker must not keep residency for pages of the discarded tree
