@@ -38,6 +38,14 @@ on the offending line or the line directly above it):
                      engine/router/tracker locks; the contract must be
                      written where the caller reads the signature.
 
+  record-id-hash     std::unordered_set<RecordId...> / std::unordered_map<
+                     RecordId...> in src/core/ or src/index/. Record ids are
+                     dense (0..Dataset::size()), so per-query bookkeeping
+                     keyed by them is a bitmap or an array indexed by id;
+                     a node-based hash container there costs a node
+                     allocation per insert and a hash per lookup, and its
+                     iteration order depends on the standard library.
+
 Exit status: 0 when clean, 1 when any finding is reported.
 """
 
@@ -76,6 +84,8 @@ NONDET_RES = [
 WIRE_RAW_COUNT_RE = re.compile(r"\b(\w+)\s*=\s*\w+(?:\.|->)U(?:32|64)\s*\(\s*\)")
 WIRE_SAFE_COUNT_RE = re.compile(r"\b(\w+)\s*=\s*\w+(?:\.|->)Count\s*\(")
 WIRE_LOOP_RE = re.compile(r"\bfor\s*\(.*?[<!]=?\s*(\w+)\s*;")
+
+RECORD_ID_HASH_RE = re.compile(r"\bstd::unordered_(?:set|map)\s*<\s*RecordId\b")
 
 CALLBACK_PARAM_RE = re.compile(r"\b\w+Callback\s+\w+\s*[,)]|\bListener\s*\*\s*\w+\s*[,)]")
 REENTRANCY_DOC_LOOKBACK = 12
@@ -196,12 +206,27 @@ def check_reentrancy_doc(path, lines):
     return findings
 
 
+def check_record_id_hash(path, lines):
+    if path.parent.name not in {"core", "index"}:
+        return []
+    findings = []
+    for i, line in enumerate(lines):
+        m = RECORD_ID_HASH_RE.search(line)
+        if m and not is_allowed("record-id-hash", lines, i):
+            findings.append(Finding(
+                path, i + 1, "record-id-hash",
+                f"`{m.group(0).strip()}...` keyed by record id — ids are "
+                "dense, use a bitmap or an id-indexed vector"))
+    return findings
+
+
 CHECKS = [
     check_raw_mutex,
     check_bare_future_wait,
     check_nondeterminism,
     check_wire_count_bound,
     check_reentrancy_doc,
+    check_record_id_hash,
 ]
 
 

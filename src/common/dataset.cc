@@ -6,24 +6,12 @@
 namespace kspr {
 
 bool Dataset::Dominates(RecordId a, RecordId b) const {
-  const double* ra = Row(a);
-  const double* rb = Row(b);
-  bool strict = false;
-  for (int i = 0; i < dim_; ++i) {
-    if (ra[i] < rb[i]) return false;
-    if (ra[i] > rb[i]) strict = true;
-  }
-  return strict;
+  return Dominates(Row(a), Row(b), dim_);
 }
 
 bool Dataset::Dominates(const Vec& a, const Vec& b) {
   assert(a.dim == b.dim);
-  bool strict = false;
-  for (int i = 0; i < a.dim; ++i) {
-    if (a.v[i] < b.v[i]) return false;
-    if (a.v[i] > b.v[i]) strict = true;
-  }
-  return strict;
+  return Dominates(a.v.data(), b.v.data(), a.dim);
 }
 
 void Dataset::NormalizeToUnitBox() {

@@ -139,6 +139,15 @@ class Dataset {
     return &values_[static_cast<size_t>(id) * dim_];
   }
 
+  /// Sum of record `id`'s attributes, added in the order Get(id).Sum()
+  /// adds them (the BBS priority).
+  double RowSum(RecordId id) const {
+    const double* base = Row(id);
+    double s = 0.0;
+    for (int i = 0; i < dim_; ++i) s += base[i];
+    return s;
+  }
+
   /// Score of record `id` under a full d-dimensional weight vector.
   double Score(RecordId id, const Vec& w) const {
     assert(w.dim == dim_);
@@ -154,6 +163,17 @@ class Dataset {
 
   /// Dominance between arbitrary vectors with this dataset's convention.
   static bool Dominates(const Vec& a, const Vec& b);
+
+  /// Dominance between raw rows of `dim` attributes (Row pointers); the
+  /// two overloads above delegate here.
+  static bool Dominates(const double* a, const double* b, int dim) {
+    bool strict = false;
+    for (int i = 0; i < dim; ++i) {
+      if (a[i] < b[i]) return false;
+      if (a[i] > b[i]) strict = true;
+    }
+    return strict;
+  }
 
   /// Rescales every attribute linearly to [0, 1] (per-dimension min/max).
   /// No-op on an empty dataset.

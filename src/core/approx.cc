@@ -1,6 +1,5 @@
 #include "core/approx.h"
 
-#include <unordered_set>
 #include <vector>
 
 #include "core/bounds.h"
@@ -99,9 +98,9 @@ class ApproxEngine {
       for (const HalfspaceRef& ref : leaf.path) {
         cons.push_back(store_.AsStrictIneq(ref));
       }
-      std::vector<Vec> pivots;
+      std::vector<const double*> pivots;
       pivots.reserve(leaf.neg_records.size());
-      for (RecordId rid : leaf.neg_records) pivots.push_back(data_.Get(rid));
+      for (RecordId rid : leaf.neg_records) pivots.push_back(data_.Row(rid));
       bounds_ctx_.pivots = &pivots;
       RankBounds rb = ComputeRankBounds(bounds_ctx_, cons, base_.k);
       bounds_ctx_.pivots = nullptr;

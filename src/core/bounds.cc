@@ -35,6 +35,9 @@ struct Traversal {
   CellBoundSolver* lp;
   int k;
   RankBounds bounds;
+  // Lemma-5 pruning: everything weakly dominated by a pivot of the cell
+  // scores below p throughout the cell.
+  PivotScan pivots;
 
   // Transformed-space interval method: p's score range over the cell.
   double sp_min = 0.0;
@@ -58,6 +61,19 @@ struct Traversal {
   Decision FastDecide(const Vec& lo, const Vec& hi) const {
     if (!use_fast) return Decision::kUnknown;
     return DecideInterval(w_lo.Dot(lo), w_hi.Dot(hi));
+  }
+
+  // FastDecide of the point box [r, r] for a raw row `r`, summed in the
+  // order Vec::Dot sums.
+  Decision FastDecide(const double* r) const {
+    if (!use_fast) return Decision::kUnknown;
+    double lo = 0.0;
+    double hi = 0.0;
+    for (int i = 0; i < w_lo.dim; ++i) {
+      lo += w_lo.v[i] * r[i];
+      hi += w_hi.v[i] * r[i];
+    }
+    return DecideInterval(lo, hi);
   }
 
   // True when the entry is more likely to resolve as kBelow than kAbove,
@@ -133,33 +149,17 @@ struct Traversal {
   // to k instead of to the number of straddling records.
   bool RefinementPays() const { return bounds.ub <= k; }
 
-  // Lemma-5 pruning: everything weakly dominated by a pivot of the cell
-  // scores below p throughout the cell.
-  bool PivotDominated(const Mbr& box) const {
-    if (ctx->pivots == nullptr) return false;
-    for (const Vec& piv : *ctx->pivots) {
-      if (box.WeaklyDominatedBy(piv)) return true;
-    }
-    return false;
-  }
-  bool PivotDominated(const Vec& r) const {
-    if (ctx->pivots == nullptr) return false;
-    for (const Vec& piv : *ctx->pivots) {
-      if (WeaklyDominates(piv, r)) return true;
-    }
-    return false;
-  }
-
   void VisitNode(int node_id) {
     if (bounds.lb > k) return;  // cell will be pruned regardless
     const RTree::Node& node = ctx->tree->Fetch(node_id);
     if (node.leaf) {
       for (RecordId rid : node.items) {
         if (rid == ctx->focal_id) continue;
-        const Vec r = ctx->data->Get(rid);
-        if (PivotDominated(r)) continue;  // kBelow, no LP needed
-        Decision d = FastDecide(r, r);
+        const double* row = ctx->data->Row(rid);
+        if (pivots.Dominates(row)) continue;  // kBelow, no LP needed
+        Decision d = FastDecide(row);
         if (d == Decision::kUnknown && RefinementPays()) {
+          const Vec r = ctx->data->Get(rid);
           d = TightDecide(r, r);
         }
         // A record whose interval merely overlaps p's may or may not score
@@ -172,7 +172,7 @@ struct Traversal {
     for (int c : node.items) {
       if (bounds.lb > k) return;
       const RTree::Node& child = ctx->tree->Fetch(c);
-      if (PivotDominated(child.mbr)) continue;  // kBelow, no LP needed
+      if (pivots.Dominates(child.mbr)) continue;  // kBelow, no LP needed
       Decision d = FastDecide(child.mbr.lo, child.mbr.hi);
       if (d == Decision::kUnknown && ctx->mode != BoundMode::kRecord &&
           RefinementPays()) {
@@ -202,6 +202,7 @@ RankBounds ComputeRankBounds(const BoundsContext& ctx,
   t.ctx = &ctx;
   t.lp = &solver;
   t.k = k;
+  t.pivots = PivotScan(ctx.pivots, ctx.data->dim());
 
   if (ctx.space == Space::kTransformed) {
     // p's score interval over the cell.

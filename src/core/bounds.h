@@ -46,10 +46,11 @@ struct BoundsContext {
   KsprStats* stats = nullptr;
 
   /// Optional: the cell's pivots (records contributing negative halfspaces
-  /// to its defining set). Any record weakly dominated by a pivot scores
-  /// below the pivot, hence below p, everywhere in the cell (Lemma 5) —
-  /// the traversal skips such records and subtrees without any LP.
-  const std::vector<Vec>* pivots = nullptr;
+  /// to its defining set), as raw rows of d attributes (Dataset::Row).
+  /// Any record weakly dominated by a pivot scores below the pivot, hence
+  /// below p, everywhere in the cell (Lemma 5) — the traversal skips such
+  /// records and subtrees without any LP.
+  const std::vector<const double*>* pivots = nullptr;
 };
 
 /// Linear objective of the score S(x, w) over the preference space:

@@ -35,7 +35,10 @@ void CellTree::InsertHyperplane(RecordId rid,
     case RecordHyperplane::Kind::kRegular:
       break;
   }
-  assert(seed_state_.neg_on_path.empty() && seed_state_.lp.depth() == 0);
+  assert(seed_state_.neg_pushed.empty() && seed_state_.lp.depth() == 0);
+  assert(std::all_of(seed_state_.neg_on_path.begin(),
+                     seed_state_.neg_on_path.end(),
+                     [](int count) { return count == 0; }));
   // Cheap when the context is already bound to this space: pops restored
   // the base tableau bitwise, so only the first insertion pays a build.
   seed_state_.lp.Reset(store_->space(), store_->pref_dim());
@@ -66,7 +69,6 @@ void CellTree::InsertHyperplane(RecordId rid,
   }
 
   InsertRec(0, rid, h, 0, dominators, &ctx);
-  seed_state_.Clear();
 
   if (!plan.tasks.empty()) {
     RunTasksAndReduce(&plan, executor, rid, h, dominators);
@@ -144,9 +146,10 @@ bool CellTree::InsertRec(int nid, RecordId rid, const RecordHyperplane& h,
 
   // Sec 5 shortcut: if a processed dominator of rid contributes a negative
   // halfspace to this node's full halfspace set, h- covers the node.
-  if (options_->use_dominance_shortcut && dominators != nullptr) {
+  const bool shortcut = UsesDominanceShortcut(dominators);
+  if (shortcut) {
     for (RecordId dom : *dominators) {
-      if (ctx->ds->neg_on_path.contains(dom)) {
+      if (ctx->ds->NegOnPath(dom)) {
         ++ctx->stats->dominance_shortcuts;
         n.cover.push_back({rid, false});
         return false;
@@ -302,24 +305,18 @@ bool CellTree::InsertRec(int nid, RecordId rid, const RecordHyperplane& h,
     DescentState& ds = *ctx->ds;
     ds.lp.PushConstraint(store_->AsStrictIneq(child.edge));
     int pushed = 1;
-    // Record what this scope pushed so the unwind pops exactly that —
+    // Mark what this scope pushes so the unwind pops exactly that —
     // without re-reading the child's cover, which a descent into the
     // child (here or later in its task) may have grown via case I/II.
-    std::vector<RecordId> neg_scope;
-    neg_scope.reserve(child.cover.size() + 1);
-    if (!child.edge.positive) {
-      ++ds.neg_on_path[child.edge.rid];
-      neg_scope.push_back(child.edge.rid);
-    }
+    // Only the shortcut reads the counts, so without it none are kept.
+    const size_t neg_mark = ds.neg_pushed.size();
+    if (shortcut && !child.edge.positive) ds.PushNeg(child.edge.rid);
     for (const HalfspaceRef& ref : child.cover) {
       if (!options_->use_lemma2) {
         ds.lp.PushConstraint(store_->AsStrictIneq(ref));
         ++pushed;
       }
-      if (!ref.positive) {
-        ++ds.neg_on_path[ref.rid];
-        neg_scope.push_back(ref.rid);
-      }
+      if (shortcut && !ref.positive) ds.PushNeg(ref.rid);
     }
 
     const int cells =
@@ -348,11 +345,7 @@ bool CellTree::InsertRec(int nid, RecordId rid, const RecordHyperplane& h,
 
     // Unwind exactly what this scope pushed.
     while (pushed-- > 0) ds.lp.PopConstraint();
-    for (RecordId r : neg_scope) {
-      auto it = ds.neg_on_path.find(r);
-      assert(it != ds.neg_on_path.end());
-      if (--it->second == 0) ds.neg_on_path.erase(it);
-    }
+    ds.PopNegTo(neg_mark);
   }
 
   if (forked) {

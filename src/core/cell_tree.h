@@ -30,7 +30,6 @@
 #define KSPR_CORE_CELL_TREE_H_
 
 #include <deque>
-#include <unordered_map>
 #include <vector>
 
 #include "common/stats.h"
@@ -166,15 +165,39 @@ class CellTree {
   /// into a fresh vector per side test.
   struct DescentState {
     CellLpContext lp;
-    std::unordered_map<RecordId, int> neg_on_path;
+    /// Record id -> multiplicity in the multiset; grows on demand to the
+    /// largest id pushed. Every count is back to 0 once a descent unwinds.
+    std::vector<int> neg_on_path;
+    /// Ids pushed into neg_on_path, in push order; each recursion scope
+    /// pops back to the mark it started from.
+    std::vector<RecordId> neg_pushed;
 
-    void Clear() { neg_on_path.clear(); }
+    bool NegOnPath(RecordId rid) const {
+      return static_cast<size_t>(rid) < neg_on_path.size() &&
+             neg_on_path[rid] > 0;
+    }
+    void PushNeg(RecordId rid) {
+      if (static_cast<size_t>(rid) >= neg_on_path.size()) {
+        neg_on_path.resize(static_cast<size_t>(rid) + 1, 0);
+      }
+      ++neg_on_path[rid];
+      neg_pushed.push_back(rid);
+    }
+    void PopNegTo(size_t mark) {
+      while (neg_pushed.size() > mark) {
+        --neg_on_path[neg_pushed.back()];
+        neg_pushed.pop_back();
+      }
+    }
 
     /// Seeds a forked task's state: full solver state minus the pop
-    /// snapshots of seed frames the task will never unwind.
+    /// snapshots of seed frames the task will never unwind. The counts
+    /// are rebuilt from the seed's push log, which holds exactly the
+    /// multiset, so the copy costs the path length rather than the id
+    /// range; the task never pops below the replayed entries.
     void CopyForFork(const DescentState& o) {
       lp.AssignForFork(o.lp);
-      neg_on_path = o.neg_on_path;
+      for (RecordId rid : o.neg_pushed) PushNeg(rid);
     }
   };
 
@@ -230,6 +253,13 @@ class CellTree {
 
   /// Appends a node to the arena (encoded id) or to nodes_ (global id).
   int AllocNode(Node&& node, InsertCtx* ctx);
+
+  /// True when this insertion can take the Sec 5 dominance shortcut: it
+  /// is enabled and `rid` has processed dominators to look for.
+  bool UsesDominanceShortcut(const std::vector<RecordId>* dominators) const {
+    return options_->use_dominance_shortcut && dominators != nullptr &&
+           !dominators->empty();
+  }
 
   /// Returns true when a fork was emitted somewhere in this subtree (the
   /// caller must then defer its both-children-dead check to the reduction).

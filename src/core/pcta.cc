@@ -1,6 +1,5 @@
 #include "core/pcta.h"
 
-#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
@@ -40,7 +39,8 @@ class ProgressiveEngine {
         prep_(PrepareQuery(data, p, focal_id, options.k)),
         store_(&data, p, space),
         cell_tree_(&store_, prep_.k_effective, &options, &result_.stats),
-        dg_(&data) {
+        dg_(&data),
+        processed_(static_cast<size_t>(data.size()), 0) {
     traversal_.executor = executor_;
     traversal_.min_cells_per_task = options.parallel.min_cells_per_task;
     defer_finalize_ = executor_ != nullptr && options.finalize_geometry;
@@ -69,7 +69,7 @@ class ProgressiveEngine {
       for (RecordId rid : batch) {
         dg_.Add(rid);
         cell_tree_.InsertHyperplane(rid, &dg_.Dominators(rid), par);
-        processed_.insert(rid);
+        processed_[rid] = 1;
         ++result_.stats.processed_records;
         if (lookahead_ && options_.lookahead_per_split) {
           LookaheadOnLeaves(cell_tree_.last_new_leaves());
@@ -113,7 +113,7 @@ class ProgressiveEngine {
   std::vector<RecordId> FilterBatch(const std::vector<RecordId>& candidates) {
     std::vector<RecordId> batch;
     for (RecordId rid : candidates) {
-      if (!prep_.skip[rid] && !processed_.contains(rid)) batch.push_back(rid);
+      if (!prep_.skip[rid] && !processed_[rid]) batch.push_back(rid);
     }
     return batch;
   }
@@ -164,13 +164,22 @@ class ProgressiveEngine {
     for (const HalfspaceRef& ref : leaf.path) {
       cons.push_back(store_.AsStrictIneq(ref));
     }
-    std::vector<Vec> pivots;
-    pivots.reserve(leaf.neg_records.size());
-    for (RecordId rid : leaf.neg_records) pivots.push_back(data_.Get(rid));
     BoundsContext ctx = bounds_ctx_;
     ctx.stats = stats;
-    ctx.pivots = &pivots;
+    ctx.pivots = &PivotRows(leaf);
     return ComputeRankBounds(ctx, cons, options_.k);
+  }
+
+  // Raw rows of the leaf's pivots, in a per-thread buffer reused by every
+  // call on that thread: the per-leaf look-ahead and reportability checks
+  // run on the executor's threads, one at a time per thread, and each is
+  // done with the rows before the next call.
+  const std::vector<const double*>& PivotRows(
+      const CellTree::LeafInfo& leaf) const {
+    thread_local std::vector<const double*> rows;
+    rows.clear();
+    for (RecordId rid : leaf.neg_records) rows.push_back(data_.Row(rid));
+    return rows;
   }
 
   // Computes rank bounds for every collected leaf — in parallel when the
@@ -239,35 +248,22 @@ class ProgressiveEngine {
   };
 
   // Read-only reportability check for one collected leaf; safe to run for
-  // many leaves concurrently (dataset/R-tree scans plus lookups in maps
-  // that are not mutated during the pass).
+  // many leaves concurrently (dataset/R-tree scans plus lookups in
+  // bookkeeping that is not mutated during the pass).
   Reportability CheckReportable(const CellTree::LeafInfo& leaf) {
     Reportability out;
-    std::vector<Vec> pivots;
-    pivots.reserve(leaf.neg_records.size() + 1);
-    for (RecordId rid : leaf.neg_records) pivots.push_back(data_.Get(rid));
+    const std::vector<const double*>& pivots = PivotRows(leaf);
 
     // Witness caching: if the affecting record found for this leaf in a
     // previous batch is still unprocessed (pivot sets only grow via
     // paths, and the leaf id is stable), the leaf is still unreportable
     // without re-traversing the data index.
-    auto cached = unreportable_witness_.find(leaf.node_id);
-    if (cached != unreportable_witness_.end()) {
-      const RecordId w = cached->second;
-      if (!processed_.contains(w)) {
-        bool dominated = false;
-        for (const Vec& piv : pivots) {
-          if (WeaklyDominates(piv, data_.Get(w))) {
-            dominated = true;
-            break;
-          }
-        }
-        if (!dominated) {
-          out.affecting = w;
-          out.from_cache = true;
-          return out;
-        }
-      }
+    const RecordId w = unreportable_witness_[leaf.node_id];
+    if (w != kInvalidRecord && !processed_[w] &&
+        !PivotScan(&pivots, data_.dim()).Dominates(data_.Row(w))) {
+      out.affecting = w;
+      out.from_cache = true;
+      return out;
     }
 
     RecordId affecting = kInvalidRecord;
@@ -290,6 +286,10 @@ class ProgressiveEngine {
     std::vector<CellTree::LeafInfo> leaves;
     cell_tree_.CollectLiveLeaves(&leaves);
     if (leaves.empty()) return {};
+    // Leaf ids lie below NextNodeId(); leaves new since the last pass
+    // start without a cached witness.
+    unreportable_witness_.resize(static_cast<size_t>(cell_tree_.NextNodeId()),
+                                 kInvalidRecord);
 
     std::vector<Reportability> checks(leaves.size());
     if (executor_ != nullptr && leaves.size() > 1) {
@@ -302,33 +302,35 @@ class ProgressiveEngine {
       }
     }
 
-    std::unordered_set<RecordId> np;  // union of non-pivot records
-    std::unordered_set<RecordId> fallback;
+    // Union of non-pivot records, as a bitmap reused across batches.
+    np_.assign(static_cast<size_t>(data_.size()), 0);
+    // Its iteration order is the fallback batch's order.
+    std::unordered_set<RecordId> fallback;  // lint:allow(record-id-hash)
     for (size_t i = 0; i < leaves.size(); ++i) {
       const CellTree::LeafInfo& leaf = leaves[i];
       const Reportability& check = checks[i];
       if (check.reportable) {
-        unreportable_witness_.erase(leaf.node_id);
+        unreportable_witness_[leaf.node_id] = kInvalidRecord;
         // Final rank is the current rank plus the dominators removed in
         // preprocessing.
         ReportLeaf(leaf, leaf.rank + prep_.num_dominators,
                    leaf.rank + prep_.num_dominators);
         continue;
       }
-      for (RecordId rid : leaf.pos_records) np.insert(rid);
+      for (RecordId rid : leaf.pos_records) np_[rid] = 1;
       fallback.insert(check.affecting);
       if (!check.from_cache) {
         unreportable_witness_[leaf.node_id] = check.affecting;
       }
     }
 
-    std::vector<RecordId> batch = FilterBatch(Skyline(data_, rtree_, &np));
+    std::vector<RecordId> batch = FilterBatch(Skyline(data_, rtree_, &np_));
     if (batch.empty()) {
       // The recomputed skyline consists of processed pivots only; fall back
       // to the affecting records found by the reportability checks. This
       // trades Invariant 1 (an efficiency device) for guaranteed progress.
       for (RecordId rid : fallback) {
-        if (rid != kInvalidRecord && !processed_.contains(rid) &&
+        if (rid != kInvalidRecord && !processed_[rid] &&
             !prep_.skip[rid]) {
           batch.push_back(rid);
         }
@@ -350,9 +352,12 @@ class ProgressiveEngine {
   CellTree cell_tree_;
   DominanceGraph dg_;
   BoundsContext bounds_ctx_;
-  std::unordered_set<RecordId> processed_;
-  // leaf node id -> last known unprocessed record affecting it.
-  std::unordered_map<int, RecordId> unreportable_witness_;
+  // Bitmaps indexed by record id, sized data_.size().
+  std::vector<char> processed_;
+  std::vector<char> np_;
+  // Cell-tree node id -> last known unprocessed record affecting the leaf
+  // (kInvalidRecord: none); sized to the tree before each pass.
+  std::vector<RecordId> unreportable_witness_;
 };
 
 }  // namespace

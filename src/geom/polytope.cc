@@ -132,9 +132,14 @@ std::vector<Vec> EnumerateVertices(Space space, int dim,
 
 bool StrictlyInside(Space space, int dim, const std::vector<LinIneq>& cons,
                     const Vec& w, double eps) {
-  std::vector<LinIneq> all = WithSpaceBounds(space, dim, cons);
-  for (const LinIneq& c : all) {
+  // The constraints, then the space bounds, tested in place: this sits
+  // behind Region::Contains and is called per sample point.
+  for (const LinIneq& c : cons) {
     if (c.Margin(w) <= eps) return false;
+  }
+  const int bounds = NumSpaceBounds(space, dim);
+  for (int i = 0; i < bounds; ++i) {
+    if (SpaceBound(space, dim, i).Margin(w) <= eps) return false;
   }
   return true;
 }

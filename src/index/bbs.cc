@@ -2,6 +2,8 @@
 
 #include <queue>
 
+#include "index/mbr.h"
+
 namespace kspr {
 
 namespace {
@@ -24,7 +26,7 @@ void PushChildren(const Dataset& data, const RTree& tree,
       e.is_record = true;
       e.id = -1;
       e.rid = rid;
-      e.key = data.Get(rid).Sum();
+      e.key = data.RowSum(rid);
       pq->push(e);
     }
   } else {
@@ -41,13 +43,24 @@ void PushChildren(const Dataset& data, const RTree& tree,
 }  // namespace
 
 std::vector<RecordId> Skyline(const Dataset& data, const RTree& tree,
-                              const std::unordered_set<RecordId>* exclude) {
+                              const std::vector<char>* exclude) {
   std::vector<RecordId> sky;
   if (tree.empty()) return sky;
 
-  auto dominated = [&](const Vec& v) {
-    for (RecordId s : sky) {
-      if (Dataset::Dominates(data.Get(s), v)) return true;
+  const int dim = data.dim();
+  std::vector<const double*> sky_rows;  // parallel to `sky`
+  // Tries first the member that answered the previous test: consecutive
+  // pops are close in the tree and tend to share a dominator. Only the
+  // probe order changes, never the verdict.
+  size_t last = 0;
+  auto dominated = [&](const double* v) {
+    if (sky_rows.empty()) return false;
+    if (Dataset::Dominates(sky_rows[last], v, dim)) return true;
+    for (size_t i = 0; i < sky_rows.size(); ++i) {
+      if (i != last && Dataset::Dominates(sky_rows[i], v, dim)) {
+        last = i;
+        return true;
+      }
     }
     return false;
   };
@@ -64,13 +77,14 @@ std::vector<RecordId> Skyline(const Dataset& data, const RTree& tree,
     HeapEntry e = pq.top();
     pq.pop();
     if (e.is_record) {
-      const Vec v = data.Get(e.rid);
+      if (exclude != nullptr && (*exclude)[e.rid]) continue;
+      const double* v = data.Row(e.rid);
       if (dominated(v)) continue;
-      if (exclude != nullptr && exclude->contains(e.rid)) continue;
       sky.push_back(e.rid);
+      sky_rows.push_back(v);
     } else {
       const RTree::Node& node = tree.Fetch(e.id);
-      if (dominated(node.mbr.hi)) continue;
+      if (dominated(node.mbr.hi.v.data())) continue;
       PushChildren(data, tree, node, &pq);
     }
   }
@@ -119,38 +133,27 @@ int CountDominators(const Dataset& data, RecordId r) {
   return cnt;
 }
 
-bool ExistsUnprocessedNotDominated(
-    const Dataset& data, const RTree& tree, const std::vector<Vec>& pivots,
-    const std::unordered_set<RecordId>& processed,
-    const std::vector<char>* skip, RecordId* witness) {
+bool ExistsUnprocessedNotDominated(const Dataset& data, const RTree& tree,
+                                   const std::vector<const double*>& pivots,
+                                   const std::vector<char>& processed,
+                                   const std::vector<char>* skip,
+                                   RecordId* witness) {
   if (tree.empty()) return false;
-  std::vector<int> stack = {tree.root()};
+  PivotScan scan(&pivots, data.dim());
+  // Reused across calls; each thread runs one check at a time.
+  thread_local std::vector<int> stack;
+  stack.assign(1, tree.root());
   while (!stack.empty()) {
     const RTree::Node& node = tree.Fetch(stack.back());
     stack.pop_back();
     // Prune: some pivot weakly dominates the whole box (Lemma 5 -- no
     // record inside can change the cell's rank or extent).
-    bool pruned = false;
-    for (const Vec& piv : pivots) {
-      if (node.mbr.WeaklyDominatedBy(piv)) {
-        pruned = true;
-        break;
-      }
-    }
-    if (pruned) continue;
+    if (scan.Dominates(node.mbr)) continue;
     if (node.leaf) {
       for (RecordId rid : node.items) {
-        if (processed.contains(rid)) continue;
+        if (processed[rid]) continue;
         if (skip != nullptr && (*skip)[rid]) continue;
-        const Vec v = data.Get(rid);
-        bool dom = false;
-        for (const Vec& piv : pivots) {
-          if (WeaklyDominates(piv, v)) {
-            dom = true;
-            break;
-          }
-        }
-        if (!dom) {
+        if (!scan.Dominates(data.Row(rid))) {
           if (witness != nullptr) *witness = rid;
           return true;
         }

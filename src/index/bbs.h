@@ -8,7 +8,6 @@
 #ifndef KSPR_INDEX_BBS_H_
 #define KSPR_INDEX_BBS_H_
 
-#include <unordered_set>
 #include <vector>
 
 #include "common/dataset.h"
@@ -17,11 +16,11 @@
 
 namespace kspr {
 
-/// Skyline of D minus `exclude` (may be null). Returned in BBS pop order
-/// (decreasing coordinate sum).
-std::vector<RecordId> Skyline(
-    const Dataset& data, const RTree& tree,
-    const std::unordered_set<RecordId>* exclude = nullptr);
+/// Skyline of D minus `exclude` (may be null): a record is excluded when
+/// its slot in the bitmap, indexed by record id and sized data.size(), is
+/// non-zero. Returned in BBS pop order (decreasing coordinate sum).
+std::vector<RecordId> Skyline(const Dataset& data, const RTree& tree,
+                              const std::vector<char>* exclude = nullptr);
 
 /// k-skyband: records dominated by fewer than k others (Appendix B).
 std::vector<RecordId> KSkyband(const Dataset& data, const RTree& tree, int k);
@@ -31,11 +30,14 @@ int CountDominators(const Dataset& data, RecordId r);
 
 /// Lemma-5 reportability check for P-CTA: returns true iff some record of D
 /// outside `processed` (and not flagged in `skip`, which may be null) is
-/// NOT weakly dominated by any pivot in `pivots`. When true and `witness`
-/// is non-null, one such record id is stored there.
+/// NOT weakly dominated by any pivot in `pivots` (raw rows of data.dim()
+/// attributes). `processed` and `skip` are bitmaps indexed by record id and
+/// sized data.size(). The R-tree is searched depth first; when the result
+/// is true and `witness` is non-null, the first such record found is
+/// stored there.
 bool ExistsUnprocessedNotDominated(const Dataset& data, const RTree& tree,
-                                   const std::vector<Vec>& pivots,
-                                   const std::unordered_set<RecordId>& processed,
+                                   const std::vector<const double*>& pivots,
+                                   const std::vector<char>& processed,
                                    const std::vector<char>* skip,
                                    RecordId* witness);
 

@@ -17,14 +17,14 @@ void DominanceGraph::Add(RecordId rid) {
     }
   }
   members_.push_back(rid);
+  if (static_cast<size_t>(rid) >= index_.size()) index_.resize(rid + 1, -1);
   index_[rid] = idx;
   dominators_.push_back(std::move(doms));
 }
 
 const std::vector<RecordId>& DominanceGraph::Dominators(RecordId rid) const {
-  auto it = index_.find(rid);
-  assert(it != index_.end());
-  return dominators_[it->second];
+  assert(Contains(rid));
+  return dominators_[index_[rid]];
 }
 
 }  // namespace kspr

@@ -8,7 +8,6 @@
 #ifndef KSPR_INDEX_DOMINANCE_H_
 #define KSPR_INDEX_DOMINANCE_H_
 
-#include <unordered_map>
 #include <vector>
 
 #include "common/dataset.h"
@@ -24,7 +23,10 @@ class DominanceGraph {
   /// (O(|members| * d)). No-op if already present.
   void Add(RecordId rid);
 
-  bool Contains(RecordId rid) const { return index_.contains(rid); }
+  bool Contains(RecordId rid) const {
+    return rid >= 0 && static_cast<size_t>(rid) < index_.size() &&
+           index_[rid] >= 0;
+  }
 
   /// Processed records that dominate `rid`. `rid` must have been Added.
   const std::vector<RecordId>& Dominators(RecordId rid) const;
@@ -34,7 +36,9 @@ class DominanceGraph {
  private:
   const Dataset* data_;
   std::vector<RecordId> members_;
-  std::unordered_map<RecordId, int> index_;
+  /// Record id -> position in members_, -1 for non-members; grows on
+  /// demand to the largest id added.
+  std::vector<int> index_;
   std::vector<std::vector<RecordId>> dominators_;
 };
 

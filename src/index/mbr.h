@@ -4,7 +4,9 @@
 #define KSPR_INDEX_MBR_H_
 
 #include <algorithm>
+#include <cstddef>
 #include <limits>
+#include <vector>
 
 #include "common/vec.h"
 
@@ -60,6 +62,15 @@ struct Mbr {
     }
     return true;
   }
+
+  /// Raw-row form of the test above: `v` points at hi.dim attributes
+  /// (a Dataset::Row).
+  bool WeaklyDominatedBy(const double* v) const {
+    for (int i = 0; i < hi.dim; ++i) {
+      if (v[i] < hi.v[i]) return false;
+    }
+    return true;
+  }
 };
 
 /// True iff a >= b componentwise (weak dominance of point b by point a).
@@ -69,6 +80,55 @@ inline bool WeaklyDominates(const Vec& a, const Vec& b) {
   }
   return true;
 }
+
+/// Raw-row form over `dim` attributes (Dataset::Row pointers). Same
+/// `a < b -> false` form, so NaN attributes decide as in the Vec form.
+inline bool WeaklyDominates(const double* a, const double* b, int dim) {
+  for (int i = 0; i < dim; ++i) {
+    if (a[i] < b[i]) return false;
+  }
+  return true;
+}
+
+/// The Lemma-5 pivot test: does some pivot (a raw row) weakly dominate a
+/// point or a whole box? Each test tries first the pivot that answered the
+/// previous one, since neighbouring records and boxes tend to fall to the
+/// same pivot. Only the probe order changes, never the verdict. `pivots`
+/// (null means none) must outlive the scan.
+class PivotScan {
+ public:
+  PivotScan() = default;
+  PivotScan(const std::vector<const double*>* pivots, int dim)
+      : pivots_(pivots), dim_(dim) {}
+
+  bool Dominates(const double* r) {
+    return Find(
+        [&](const double* piv) { return WeaklyDominates(piv, r, dim_); });
+  }
+  bool Dominates(const Mbr& box) {
+    return Find(
+        [&](const double* piv) { return box.WeaklyDominatedBy(piv); });
+  }
+
+ private:
+  template <typename Test>
+  bool Find(Test test) {
+    if (pivots_ == nullptr || pivots_->empty()) return false;
+    const std::vector<const double*>& piv = *pivots_;
+    if (test(piv[last_])) return true;
+    for (size_t i = 0; i < piv.size(); ++i) {
+      if (i != last_ && test(piv[i])) {
+        last_ = i;
+        return true;
+      }
+    }
+    return false;
+  }
+
+  const std::vector<const double*>* pivots_ = nullptr;
+  int dim_ = 0;
+  size_t last_ = 0;
+};
 
 }  // namespace kspr
 

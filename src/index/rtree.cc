@@ -543,7 +543,8 @@ bool RTree::CheckInvariants(const Dataset& data, std::string* error) const {
   }
   if (nodes_[root_].parent != -1) return fail("root has a parent");
 
-  std::unordered_map<RecordId, int> seen;
+  // Off the query path: a validation pass, so a hash map is fine here.
+  std::unordered_map<RecordId, int> seen;  // lint:allow(record-id-hash)
   int reachable = 0;
   int leaf_depth = -1;
   bool ok = true;

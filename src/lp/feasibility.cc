@@ -137,32 +137,29 @@ FeasibilityResult RunBallTest(int dim, int64_t total_logical,
 
 }  // namespace
 
-void AppendSpaceBounds(Space space, int dim, std::vector<LinIneq>* out) {
-  // w_j > 0  <=>  -w_j < 0
-  for (int j = 0; j < dim; ++j) {
-    LinIneq c;
-    c.a = Vec(dim);
-    c.a.v[j] = -1.0;
+LinIneq SpaceBound(Space space, int dim, int i) {
+  assert(i >= 0 && i < NumSpaceBounds(space, dim));
+  LinIneq c;
+  c.a = Vec(dim);
+  if (i < dim) {
+    // w_j > 0  <=>  -w_j < 0
+    c.a.v[i] = -1.0;
     c.b = 0.0;
-    out->push_back(c);
-  }
-  if (space == Space::kTransformed) {
+  } else if (space == Space::kTransformed) {
     // sum_j w_j < 1 (so that the implied w_d = 1 - sum is positive).
-    LinIneq c;
-    c.a = Vec(dim);
     for (int j = 0; j < dim; ++j) c.a.v[j] = 1.0;
     c.b = 1.0;
-    out->push_back(c);
   } else {
     // Original space: clip the cone to the open unit box.
-    for (int j = 0; j < dim; ++j) {
-      LinIneq c;
-      c.a = Vec(dim);
-      c.a.v[j] = 1.0;
-      c.b = 1.0;
-      out->push_back(c);
-    }
+    c.a.v[i - dim] = 1.0;
+    c.b = 1.0;
   }
+  return c;
+}
+
+void AppendSpaceBounds(Space space, int dim, std::vector<LinIneq>* out) {
+  const int count = NumSpaceBounds(space, dim);
+  for (int i = 0; i < count; ++i) out->push_back(SpaceBound(space, dim, i));
 }
 
 FeasibilityResult TestInterior(Space space, int dim,

@@ -82,6 +82,10 @@ inline int NumSpaceBounds(Space space, int dim) {
   return space == Space::kTransformed ? dim + 1 : 2 * dim;
 }
 
+/// The i-th boundary inequality AppendSpaceBounds produces,
+/// 0 <= i < NumSpaceBounds(space, dim).
+LinIneq SpaceBound(Space space, int dim, int i);
+
 struct FeasibilityResult {
   bool feasible = false;
   /// Inscribed-ball radius (valid when the LP solved).

@@ -223,6 +223,7 @@ namespace {
 constexpr size_t kMinCandidateSize = 4 + 1;
 constexpr size_t kMinInsertSize = 4 + 1;
 constexpr size_t kMinSkybandChangeSize = 4 + 4;  // k + count
+constexpr size_t kMinVecSize = 1;                 // dim byte, dim >= 0
 
 void EncodeCandidate(WireWriter& w, const Candidate& c) {
   w.I32(c.global_id);
@@ -319,7 +320,7 @@ std::vector<uint8_t> Encode(const ShardUpdateResponse& m) {
   for (const SkybandChange& sc : m.skyband_changes) {
     w.I32(sc.k);
     w.U32(static_cast<uint32_t>(sc.changed.size()));
-    for (const Candidate& c : sc.changed) EncodeCandidate(w, c);
+    for (const Vec& v : sc.changed) w.VecField(v);
   }
   return w.Take();
 }
@@ -336,9 +337,9 @@ ShardUpdateResponse DecodeShardUpdateResponse(const uint8_t* data,
   for (uint32_t i = 0; i < changes; ++i) {
     SkybandChange sc;
     sc.k = r.I32();
-    const uint32_t n = r.Count(kMinCandidateSize);
+    const uint32_t n = r.Count(kMinVecSize);
     sc.changed.reserve(n);
-    for (uint32_t j = 0; j < n; ++j) sc.changed.push_back(DecodeCandidate(r));
+    for (uint32_t j = 0; j < n; ++j) sc.changed.push_back(r.VecField());
     m.skyband_changes.push_back(std::move(sc));
   }
   r.ExpectEnd();

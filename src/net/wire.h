@@ -42,7 +42,7 @@ namespace kspr {
 namespace net {
 
 inline constexpr uint32_t kWireMagic = 0x4B535052u;  // "KSPR" (LE bytes RSPK)
-inline constexpr uint16_t kWireVersion = 1;
+inline constexpr uint16_t kWireVersion = 2;
 inline constexpr size_t kFrameHeaderSize = 28;
 /// Upper bound on a payload: a candidate set of ~1.8M records. Anything
 /// larger is a protocol error, not a legitimate message.

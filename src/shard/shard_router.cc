@@ -407,7 +407,8 @@ RouterUpdateResult ShardRouter::ApplyUpdates(const RouterUpdateBatch& batch) {
       out.deletes_applied += response.deletes_applied;
       for (const SkybandChange& change : response.skyband_changes) {
         std::vector<Vec>& merged = changed[change.k];
-        for (const Candidate& c : change.changed) merged.push_back(c.value);
+        merged.insert(merged.end(), change.changed.begin(),
+                      change.changed.end());
       }
       SetHealth(s, ShardHealth::kUp);
     } catch (const TransportError& e) {

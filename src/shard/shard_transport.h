@@ -72,10 +72,11 @@ struct ShardUpdateRequest {
 /// Records that entered or left the shard's k-skyband because of one
 /// update batch — the router's classification currency: a cached result
 /// or subscriber is provably untouched by the batch iff its focal weakly
-/// dominates every changed record at its k (core/candidates.h).
+/// dominates every changed record at its k (core/candidates.h). The test
+/// reads values only, so no ids travel.
 struct SkybandChange {
   int k = 0;
-  std::vector<Candidate> changed;  // symmetric difference, entered + left
+  std::vector<Vec> changed;  // symmetric difference, entered + left
 };
 
 struct ShardUpdateResponse {

@@ -118,14 +118,12 @@ ShardUpdateResponse ShardWorker::ApplyDelta(
     std::unordered_set<RecordId> post_set(post.begin(), post.end());
     for (RecordId local : post) {
       if (!pre_set.contains(local)) {
-        change.changed.push_back(
-            {map_.GlobalOf(shard_index_, local), data().Get(local)});
+        change.changed.push_back(data().Get(local));
       }
     }
     for (RecordId local : pre_bands[i]) {
       if (!post_set.contains(local)) {
-        change.changed.push_back(
-            {map_.GlobalOf(shard_index_, local), data().Get(local)});
+        change.changed.push_back(data().Get(local));
       }
     }
     response.skyband_changes.push_back(std::move(change));

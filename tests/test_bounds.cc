@@ -196,11 +196,11 @@ TEST(RankBounds, PivotPruningPreservesSoundness) {
   // score below p across the whole cell).
   RankBounds plain = ComputeRankBounds(ctx, cell, data.size() + 1);
 
-  std::vector<Vec> pivots;
+  std::vector<const double*> pivots;
   const Vec w_full = ExpandWeight(Space::kTransformed, 3, interior);
   for (RecordId i = 0; i < data.size() && pivots.size() < 3; ++i) {
     // A record dominated by p is below p everywhere: a valid pivot.
-    if (data.Dominates(focal, i)) pivots.push_back(data.Get(i));
+    if (data.Dominates(focal, i)) pivots.push_back(data.Row(i));
   }
   ctx.pivots = &pivots;
   RankBounds pruned = ComputeRankBounds(ctx, cell, data.size() + 1);

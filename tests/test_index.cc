@@ -2,6 +2,7 @@
 // and the page tracker.
 
 #include <algorithm>
+#include <queue>
 #include <set>
 #include <unordered_set>
 
@@ -134,7 +135,9 @@ TEST_P(SkylineTest, ExclusionRespected) {
   // Exclude the plain skyline; recompute.
   std::vector<RecordId> first = Skyline(data, t);
   std::unordered_set<RecordId> excl(first.begin(), first.end());
-  std::vector<RecordId> second = Skyline(data, t, &excl);
+  std::vector<char> excl_mask(data.size(), 0);
+  for (RecordId rid : first) excl_mask[rid] = 1;
+  std::vector<RecordId> second = Skyline(data, t, &excl_mask);
   std::vector<RecordId> brute = BruteSkyline(data, &excl);
   std::sort(second.begin(), second.end());
   std::sort(brute.begin(), brute.end());
@@ -203,19 +206,52 @@ TEST(DominanceGraph, LateDominatorBackfills) {
   EXPECT_EQ(dg.Dominators(b)[0], a);
 }
 
+TEST(DominanceGraph, IdsAddedOutOfOrderAndBeyondFirst) {
+  // Ids arrive in no particular order, the first one in the middle of the
+  // id range: the dense index grows past it and leaves gaps unclaimed.
+  Dataset data(2);
+  const RecordId low = data.Add(Vec{0.2, 0.2});   // 0
+  const RecordId mid = data.Add(Vec{0.5, 0.5});   // 1
+  data.Add(Vec{0.1, 0.9});                        // 2: never added
+  const RecordId top = data.Add(Vec{0.9, 0.9});   // 3
+  const RecordId side = data.Add(Vec{0.6, 0.1});  // 4
+  DominanceGraph dg(&data);
+  dg.Add(mid);
+  EXPECT_FALSE(dg.Contains(low));
+  EXPECT_FALSE(dg.Contains(top));
+  dg.Add(top);
+  dg.Add(low);
+  dg.Add(side);
+  dg.Add(top);  // no-op
+  EXPECT_EQ(dg.size(), 4);
+  EXPECT_TRUE(dg.Contains(low));
+  EXPECT_TRUE(dg.Contains(mid));
+  EXPECT_FALSE(dg.Contains(2));
+  EXPECT_TRUE(dg.Contains(top));
+  EXPECT_TRUE(dg.Contains(side));
+  EXPECT_FALSE(dg.Contains(5));
+  EXPECT_FALSE(dg.Contains(1000));
+  EXPECT_FALSE(dg.Contains(kInvalidRecord));
+  EXPECT_TRUE(dg.Dominators(top).empty());
+  EXPECT_EQ(dg.Dominators(mid), std::vector<RecordId>({top}));
+  // Dominators are listed in the order they were added.
+  EXPECT_EQ(dg.Dominators(low), std::vector<RecordId>({mid, top}));
+  EXPECT_EQ(dg.Dominators(side), std::vector<RecordId>({top}));
+}
+
 TEST(ReportabilityCheck, FindsAffectingRecord) {
   Dataset data(2);
   data.Add(Vec{0.9, 0.1});   // 0: pivot
   data.Add(Vec{0.5, 0.05});  // 1: dominated by pivot
   data.Add(Vec{0.2, 0.8});   // 2: not dominated by pivot
   RTree t = RTree::BulkLoad(data, 4, 4);
-  std::unordered_set<RecordId> processed = {0};
+  std::vector<char> processed = {1, 0, 0};
   RecordId witness = kInvalidRecord;
-  EXPECT_TRUE(ExistsUnprocessedNotDominated(data, t, {data.Get(0)}, processed,
+  EXPECT_TRUE(ExistsUnprocessedNotDominated(data, t, {data.Row(0)}, processed,
                                             nullptr, &witness));
   EXPECT_EQ(witness, 2);
-  processed.insert(2);
-  EXPECT_FALSE(ExistsUnprocessedNotDominated(data, t, {data.Get(0)},
+  processed[2] = 1;
+  EXPECT_FALSE(ExistsUnprocessedNotDominated(data, t, {data.Row(0)},
                                              processed, nullptr, &witness));
 }
 
@@ -224,9 +260,9 @@ TEST(ReportabilityCheck, SkipFlagsTreatedAsProcessed) {
   data.Add(Vec{0.9, 0.1});
   data.Add(Vec{0.2, 0.8});
   RTree t = RTree::BulkLoad(data, 4, 4);
-  std::unordered_set<RecordId> processed = {0};
+  std::vector<char> processed = {1, 0};
   std::vector<char> skip = {0, 1};
-  EXPECT_FALSE(ExistsUnprocessedNotDominated(data, t, {data.Get(0)},
+  EXPECT_FALSE(ExistsUnprocessedNotDominated(data, t, {data.Row(0)},
                                              processed, &skip, nullptr));
 }
 
@@ -236,9 +272,180 @@ TEST(ReportabilityCheck, WeakDominanceCounts) {
   data.Add(Vec{0.5, 0.5});
   data.Add(Vec{0.5, 0.5});
   RTree t = RTree::BulkLoad(data, 4, 4);
-  std::unordered_set<RecordId> processed = {0};
-  EXPECT_FALSE(ExistsUnprocessedNotDominated(data, t, {data.Get(0)},
+  std::vector<char> processed = {1, 0};
+  EXPECT_FALSE(ExistsUnprocessedNotDominated(data, t, {data.Row(0)},
                                              processed, nullptr, nullptr));
+}
+
+// Reference copies of the hash-set / Vec forms of Skyline and
+// ExistsUnprocessedNotDominated that the dense-bitmap, raw-row forms
+// replaced. P-CTA's batches are the skyline in pop order and its fallback
+// batch is built from the witnesses, so both outputs must match these
+// exactly, not just as sets.
+struct RefHeapEntry {
+  double key;
+  bool is_record;
+  int id;
+  RecordId rid = kInvalidRecord;
+  bool operator<(const RefHeapEntry& o) const { return key < o.key; }
+};
+
+void RefPushChildren(const Dataset& data, const RTree& tree,
+                     const RTree::Node& node,
+                     std::priority_queue<RefHeapEntry>* pq) {
+  if (node.leaf) {
+    for (RecordId rid : node.items) {
+      pq->push({data.Get(rid).Sum(), true, -1, rid});
+    }
+  } else {
+    for (int c : node.items) {
+      pq->push({tree.Fetch(c).mbr.MaxSum(), false, c});
+    }
+  }
+}
+
+std::vector<RecordId> RefSkyline(const Dataset& data, const RTree& tree,
+                                 const std::unordered_set<RecordId>* exclude) {
+  std::vector<RecordId> sky;
+  if (tree.empty()) return sky;
+  auto dominated = [&](const Vec& v) {
+    for (RecordId s : sky) {
+      if (Dataset::Dominates(data.Get(s), v)) return true;
+    }
+    return false;
+  };
+  std::priority_queue<RefHeapEntry> pq;
+  pq.push({tree.Fetch(tree.root()).mbr.MaxSum(), false, tree.root()});
+  while (!pq.empty()) {
+    RefHeapEntry e = pq.top();
+    pq.pop();
+    if (e.is_record) {
+      const Vec v = data.Get(e.rid);
+      if (dominated(v)) continue;
+      if (exclude != nullptr && exclude->contains(e.rid)) continue;
+      sky.push_back(e.rid);
+    } else {
+      const RTree::Node& node = tree.Fetch(e.id);
+      if (dominated(node.mbr.hi)) continue;
+      RefPushChildren(data, tree, node, &pq);
+    }
+  }
+  return sky;
+}
+
+bool RefExistsUnprocessedNotDominated(
+    const Dataset& data, const RTree& tree, const std::vector<Vec>& pivots,
+    const std::unordered_set<RecordId>& processed,
+    const std::vector<char>* skip, RecordId* witness) {
+  if (tree.empty()) return false;
+  std::vector<int> stack = {tree.root()};
+  while (!stack.empty()) {
+    const RTree::Node& node = tree.Fetch(stack.back());
+    stack.pop_back();
+    bool pruned = false;
+    for (const Vec& piv : pivots) {
+      if (node.mbr.WeaklyDominatedBy(piv)) {
+        pruned = true;
+        break;
+      }
+    }
+    if (pruned) continue;
+    if (node.leaf) {
+      for (RecordId rid : node.items) {
+        if (processed.contains(rid)) continue;
+        if (skip != nullptr && (*skip)[rid]) continue;
+        const Vec v = data.Get(rid);
+        bool dom = false;
+        for (const Vec& piv : pivots) {
+          if (WeaklyDominates(piv, v)) {
+            dom = true;
+            break;
+          }
+        }
+        if (!dom) {
+          if (witness != nullptr) *witness = rid;
+          return true;
+        }
+      }
+    } else {
+      for (int c : node.items) stack.push_back(c);
+    }
+  }
+  return false;
+}
+
+// Random mask over `n` ids, each set with probability `p`.
+std::vector<char> RandomMask(Rng& rng, RecordId n, double p) {
+  std::vector<char> mask(n, 0);
+  for (RecordId i = 0; i < n; ++i) mask[i] = rng.Uniform() < p ? 1 : 0;
+  return mask;
+}
+
+std::unordered_set<RecordId> MaskToSet(const std::vector<char>& mask) {
+  std::unordered_set<RecordId> set;
+  for (RecordId i = 0; i < static_cast<RecordId>(mask.size()); ++i) {
+    if (mask[i]) set.insert(i);
+  }
+  return set;
+}
+
+TEST(DenseBookkeeping, MatchesReferenceWitnessAndSkylineOrder) {
+  Rng rng(20260);
+  const Distribution dists[] = {Distribution::kIndependent,
+                                Distribution::kCorrelated,
+                                Distribution::kAntiCorrelated};
+  int witnesses_found = 0;
+  for (int iter = 0; iter < 60; ++iter) {
+    const Distribution dist = dists[iter % 3];
+    const int d = 2 + static_cast<int>(rng.UniformInt(4));
+    const int n = 40 + static_cast<int>(rng.UniformInt(300));
+    Dataset data = GenerateSynthetic(dist, n, d, /*seed=*/rng.Next());
+    // Exact duplicates exercise the weak (>=) side of every test.
+    for (int i = 0; i < n / 10; ++i) {
+      data.Add(data.Get(static_cast<RecordId>(rng.UniformInt(n))));
+    }
+    const int fanout = 4 + static_cast<int>(rng.UniformInt(13));
+    RTree t = RTree::BulkLoad(data, fanout, fanout);
+    const RecordId size = data.size();
+
+    const std::vector<char> exclude =
+        RandomMask(rng, size, rng.Uniform(0.0, 0.6));
+    const std::unordered_set<RecordId> exclude_set = MaskToSet(exclude);
+    EXPECT_EQ(Skyline(data, t), RefSkyline(data, t, nullptr))
+        << "iter " << iter;
+    EXPECT_EQ(Skyline(data, t, &exclude), RefSkyline(data, t, &exclude_set))
+        << "iter " << iter;
+
+    for (int trial = 0; trial < 8; ++trial) {
+      std::vector<const double*> pivot_rows;
+      std::vector<Vec> pivot_vecs;
+      const int num_pivots = static_cast<int>(rng.UniformInt(12));
+      for (int i = 0; i < num_pivots; ++i) {
+        const RecordId rid = static_cast<RecordId>(rng.UniformInt(size));
+        pivot_rows.push_back(data.Row(rid));
+        pivot_vecs.push_back(data.Get(rid));
+      }
+      const std::vector<char> processed =
+          RandomMask(rng, size, rng.Uniform(0.0, 0.9));
+      const std::unordered_set<RecordId> processed_set = MaskToSet(processed);
+      const std::vector<char> skip = RandomMask(rng, size, 0.2);
+      const std::vector<char>* skip_arg = trial % 2 == 0 ? &skip : nullptr;
+
+      RecordId got_witness = kInvalidRecord;
+      RecordId want_witness = kInvalidRecord;
+      const bool got = ExistsUnprocessedNotDominated(
+          data, t, pivot_rows, processed, skip_arg, &got_witness);
+      const bool want = RefExistsUnprocessedNotDominated(
+          data, t, pivot_vecs, processed_set, skip_arg, &want_witness);
+      EXPECT_EQ(got, want) << "iter " << iter << " trial " << trial;
+      EXPECT_EQ(got_witness, want_witness)
+          << "iter " << iter << " trial " << trial;
+      if (want) ++witnesses_found;
+    }
+  }
+  // The cases must cover both outcomes, not only "nothing left".
+  EXPECT_GT(witnesses_found, 40);
+  EXPECT_LT(witnesses_found, 60 * 8);
 }
 
 TEST(PageTracker, CountsWithoutBuffer) {

@@ -53,6 +53,12 @@ std::vector<Candidate> RandomCandidates(Rng& rng, int dim, size_t max_count) {
   return out;
 }
 
+std::vector<Vec> RandomVecs(Rng& rng, int dim, size_t max_count) {
+  std::vector<Vec> out(rng.UniformInt(max_count + 1));
+  for (Vec& v : out) v = RandomVec(rng, dim);
+  return out;
+}
+
 TEST(FrameTest, HeaderRoundTrip) {
   const std::vector<uint8_t> payload = {1, 2, 3, 4, 5};
   const std::vector<uint8_t> frame =
@@ -208,13 +214,18 @@ TEST(RoundTripTest, ShardUpdateResponseProperty) {
     msg.inserts_applied = rng.UniformInt(100);
     msg.deletes_applied = rng.UniformInt(100);
     const size_t changes = rng.UniformInt(4);
+    // Fixed fields, then per change: k + count + per value a dim byte and
+    // its doubles. No record id travels with a changed value.
+    size_t expected_size = 8 + 8 + 8 + 4;
     for (size_t i = 0; i < changes; ++i) {
       SkybandChange change;
       change.k = 1 + static_cast<int>(rng.UniformInt(16));
-      change.changed = RandomCandidates(rng, 3, 6);
+      change.changed = RandomVecs(rng, 3, 6);
+      expected_size += 4 + 4 + change.changed.size() * (1 + 3 * 8);
       msg.skyband_changes.push_back(std::move(change));
     }
     const std::vector<uint8_t> bytes = Encode(msg);
+    EXPECT_EQ(bytes.size(), expected_size);
     const ShardUpdateResponse got =
         DecodeShardUpdateResponse(bytes.data(), bytes.size());
     EXPECT_EQ(got.shard_version, msg.shard_version);
@@ -296,7 +307,8 @@ TEST(RejectionTest, TruncatedPayloadsThrow) {
   msg.shard_version = 5;
   SkybandChange change;
   change.k = 2;
-  change.changed = RandomCandidates(rng, 5, 6);
+  change.changed = RandomVecs(rng, 5, 6);
+  change.changed.push_back(RandomVec(rng, 5));  // never empty
   msg.skyband_changes.push_back(change);
   const std::vector<uint8_t> bytes = Encode(msg);
   for (size_t len = 0; len < bytes.size(); ++len) {
